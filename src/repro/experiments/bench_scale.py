@@ -43,7 +43,6 @@ import json
 import os
 import resource
 import time
-from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from ..api.epoll import Epoll
@@ -56,7 +55,6 @@ __all__ = [
     "measure_churn_point",
     "run_bench",
     "run_scale_bench",
-    "run_gc_ab",
     "run_sharded_point",
     "run_sweep",
     "check_regression",
@@ -86,33 +84,6 @@ PRE_PR_BASELINE: Dict[str, Dict[str, float]] = {
 
 #: CI regression gate (same shape as bench_datapath's).
 DEFAULT_TOLERANCE = 0.25
-
-#: GC generation thresholds inside a timed window.  The built world is
-#: millions of long-lived objects; with the default (700, 10, 10) the
-#: run's allocation churn drags gen-1/gen-2 scans over all of them many
-#: times per simulated second.  Freezing the world after build and
-#: fattening gen 0 leaves collection to the short-lived per-event
-#: garbage it can actually reclaim.
-GC_THRESHOLDS = (50000, 25, 25)
-
-
-@contextmanager
-def _tuned_gc(enabled: bool = True):
-    """Freeze the (already-built) world and raise GC thresholds for a
-    timed run; restore both on exit.  ``enabled=False`` is the A/B knob
-    :func:`run_gc_ab` uses to measure what the tuning buys."""
-    if not enabled:
-        yield
-        return
-    old = gc.get_threshold()
-    gc.collect()
-    gc.freeze()
-    gc.set_threshold(*GC_THRESHOLDS)
-    try:
-        yield
-    finally:
-        gc.set_threshold(*old)
-        gc.unfreeze()
 
 #: Inter-message stagger: far apart enough that consecutive messages hit
 #: the sink in separate epoll wakeups (the sparse-activity regime).
@@ -343,7 +314,6 @@ def measure_epoll_point(
     fidelity: str = "packet",
     send_spacing: float = SEND_SPACING,
     offloads: bool = True,
-    gc_tuning: bool = True,
 ) -> Dict[str, object]:
     """N persistent connections into one epoll sink, sparse sends.
 
@@ -368,10 +338,9 @@ def measure_epoll_point(
         send_spacing,
         offloads,
     )
-    with _tuned_gc(gc_tuning):
-        started = time.perf_counter()
-        world.testbed.run(until=world.duration, executor=shard_executor)
-        wall = time.perf_counter() - started
+    started = time.perf_counter()
+    world.testbed.run(until=world.duration, executor=shard_executor)
+    wall = time.perf_counter() - started
     events = world.testbed.events_processed
     row = {
         "workload": "epoll",
@@ -402,7 +371,6 @@ def measure_epoll_point(
 def measure_churn_point(
     n_clients: int,
     duration: float = 0.1,
-    gc_tuning: bool = True,
 ) -> Dict[str, object]:
     """Short-connection churn: N closed-loop web clients, native stacks."""
     from ..apps import WebClient, WebServer
@@ -423,10 +391,9 @@ def measure_churn_point(
         )
         for index in range(n_clients)
     ]
-    with _tuned_gc(gc_tuning):
-        started = time.perf_counter()
-        sim.run(until=duration)
-        wall = time.perf_counter() - started
+    started = time.perf_counter()
+    sim.run(until=duration)
+    wall = time.perf_counter() - started
     completed = sum(c.completed for c in clients)
     return {
         "workload": "churn",
@@ -666,35 +633,6 @@ def run_sharded_point(
     }
 
 
-def run_gc_ab(smoke: bool = False) -> Dict[str, object]:
-    """Measure one mid-size epoll point with GC tuning off, then on.
-
-    The matrix itself always runs tuned; this section keeps the payload
-    honest about what :func:`_tuned_gc` (``gc.freeze`` after world build
-    + :data:`GC_THRESHOLDS`) is worth on this host, so a future default
-    change has a number to argue with.  The simulated metrics of the two
-    runs are bit-identical — GC timing is invisible to the simulation —
-    so only the wall-clock ratio is interesting.
-    """
-    size = 500 if smoke else 1000
-    gc.collect()
-    untuned = measure_epoll_point(size, gc_tuning=False)
-    gc.collect()
-    tuned = measure_epoll_point(size)
-    return {
-        "point_connections": size,
-        "freeze_after_build": True,
-        "thresholds": list(GC_THRESHOLDS),
-        "untuned_wall_s": untuned["wall_s"],
-        "tuned_wall_s": tuned["wall_s"],
-        "untuned_events_per_s": untuned["events_per_s"],
-        "tuned_events_per_s": tuned["events_per_s"],
-        "speedup": (
-            untuned["wall_s"] / tuned["wall_s"] if tuned["wall_s"] > 0 else None
-        ),
-    }
-
-
 def run_bench(
     smoke: bool = False,
     jobs: Optional[int] = None,
@@ -786,7 +724,6 @@ def run_bench(
         payload["speedup_vs_pre_pr_wall"] = (
             baseline["wall_s"] / results[headline_key]["wall_s"]
         )
-    payload["gc"] = run_gc_ab(smoke)
     if sweep:
         payload["sweep"] = run_sweep(
             runs=SWEEP_RUNS, jobs=SWEEP_JOBS, size=100 if smoke else 400
@@ -960,15 +897,6 @@ def render(result: Dict[str, object]) -> str:
             f"{result['headline_events_per_s']:.0f} events/s, "
             f"{result['speedup_vs_pre_pr_events_per_s']:.2f}x the pre-PR "
             f"events/s ({result['speedup_vs_pre_pr_wall']:.2f}x wall)"
-        )
-    gc_ab = result.get("gc")
-    if gc_ab:
-        lines.append(
-            f"gc: freeze + thresholds {tuple(gc_ab['thresholds'])} on "
-            f"{gc_ab['point_connections']} conns: "
-            f"{gc_ab['untuned_wall_s']:.2f}s untuned -> "
-            f"{gc_ab['tuned_wall_s']:.2f}s tuned "
-            f"({gc_ab['speedup']:.2f}x)"
         )
     sweep = result.get("sweep")
     if sweep:

@@ -59,11 +59,24 @@ except ImportError:  # pragma: no cover - numpy-less deployments
     _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..tcp.connection import TcpConnection
     from ..tcp.stack import TcpStack
     from .engine import Simulator
 
 __all__ = ["FluidRoute", "FluidFlow", "FidelityController"]
+
+# ``repro.tcp`` imports ``repro.sim``, so these names cannot be imported
+# when this module loads.  :func:`_bind_tcp` resolves them once, when a
+# controller is built; an import statement inside the hot methods would
+# run the import machinery on every call.
+TcpState = TcpConnection = ReassemblyQueue = Endpoint = None
+
+
+def _bind_tcp() -> None:
+    global TcpState, TcpConnection, ReassemblyQueue, Endpoint
+    from ..net import Endpoint
+    from ..tcp.buffers import ReassemblyQueue
+    from ..tcp.connection import TcpConnection, TcpState
+
 
 #: Active-set size at or above which the numpy paths engage.  Below it
 #: the gather/scatter overhead beats the vector win; the cut-over is
@@ -240,6 +253,7 @@ class FidelityController:
         self.fluid_chunks_delivered = 0
         self.rate_epochs = 0
         sim.fidelity = self
+        _bind_tcp()
 
     # -- topology registration ------------------------------------------------
     def add_route(
@@ -321,8 +335,6 @@ class FidelityController:
 
     def _eligible(self, conn: "TcpConnection") -> Optional["TcpConnection"]:
         """Peer connection when ``conn``'s send direction may go fluid."""
-        from ..tcp.connection import TcpState
-
         if self.in_fault_window or conn.state is not TcpState.ESTABLISHED:
             return None
         if conn._in_fast_recovery or conn._sacked or conn.fin_sent:
@@ -665,8 +677,6 @@ class FidelityController:
         if flow.demoted:
             return
         conn, peer = flow.conn, flow.peer
-        from ..tcp.connection import TcpState
-
         if peer.state in (TcpState.CLOSED, TcpState.TIME_WAIT):
             # The receiver went away (abort/RST) under the flow; back to
             # packets, where the resent bytes will elicit the peer's RST.
@@ -711,8 +721,6 @@ class FidelityController:
         one-way latency — the same times the packet handshake would give
         on a clean path, minus its per-segment events.
         """
-        from ..tcp.connection import TcpState
-
         if self.in_fault_window or stack.arbiter is not None:
             return False
         route = self.route_for(conn.local.ip, conn.remote.ip)
@@ -740,10 +748,6 @@ class FidelityController:
 
     def _fluid_accept(self, conn, peer_stack, listener) -> None:
         """Server side of the analytic handshake (at +one-way latency)."""
-        from ..net import Endpoint
-        from ..tcp.buffers import ReassemblyQueue
-        from ..tcp.connection import TcpConnection, TcpState
-
         if conn.state is not TcpState.SYN_SENT:
             return  # client gave up while the "SYN" was in flight
         if not listener.can_admit() or listener.closed:
@@ -778,9 +782,6 @@ class FidelityController:
 
     def _fluid_established(self, conn, sconn) -> None:
         """Client side completes (at +RTT), mirroring the SYN/ACK arrival."""
-        from ..tcp.buffers import ReassemblyQueue
-        from ..tcp.connection import TcpState
-
         if conn.state is not TcpState.SYN_SENT:
             return
         conn.irs = sconn.iss
