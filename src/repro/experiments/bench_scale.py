@@ -102,17 +102,36 @@ class _EpollSink:
     several (a client stack has only ~32k ephemeral ports per remote
     ``(ip, port)``, so beyond that the workload needs more listeners —
     the same reason real frontends at that scale do).
+
+    Delivery is counted in bytes per connection, never in ``recv()``
+    returns: a message may arrive in several reads, or several in one.
     """
 
-    def __init__(self, sim: Simulator, api, port, read_size: int = 1 << 16):
+    def __init__(
+        self,
+        sim: Simulator,
+        api,
+        port,
+        message_bytes: int,
+        messages_per_conn: int,
+        read_size: int = 1 << 16,
+    ):
         self.sim = sim
         self.api = api
         self.ports = [port] if isinstance(port, int) else list(port)
+        self.message_bytes = message_bytes
+        self.messages_per_conn = messages_per_conn
         self.read_size = read_size
         self.bytes = 0
-        self.messages = 0
+        self.bytes_by_fd: Dict[int, int] = {}
         self.accepted = 0
         self.process = sim.process(self._run(), name=f"epoll-sink:{self.ports[0]}")
+
+    @property
+    def messages(self) -> int:
+        """Whole messages delivered, at most ``messages_per_conn`` per fd."""
+        size, cap = self.message_bytes, self.messages_per_conn
+        return sum(min(cap, n // size) for n in self.bytes_by_fd.values())
 
     def _run(self):
         listen_fds = set()
@@ -124,12 +143,14 @@ class _EpollSink:
         epoll = Epoll(self.sim, self.api)
         for listen_fd in listen_fds:
             epoll.register(listen_fd)
+        counts = self.bytes_by_fd
         while True:
             ready = yield epoll.wait()
             for fd, _events in ready:
                 if fd in listen_fds:
                     conn_fd = yield self.api.accept(fd)
                     epoll.register(conn_fd)
+                    counts[conn_fd] = 0
                     self.accepted += 1
                     continue
                 n = yield self.api.recv(fd, self.read_size)
@@ -138,7 +159,7 @@ class _EpollSink:
                     yield self.api.close(fd)
                     continue
                 self.bytes += n
-                self.messages += 1
+                counts[fd] += n
 
 
 class _SendPlan:
@@ -269,7 +290,9 @@ def _build_epoll_world(
     # the spread is < 32768, so local ports cannot repeat.
     n_ports = 1 + (n_conns - 1) // CONNS_PER_PORT
     ports = [5000 + p for p in range(n_ports)]
-    world.sink = _EpollSink(testbed.sim_b, server_vm.api, port=ports)
+    world.sink = _EpollSink(
+        testbed.sim_b, server_vm.api, ports, message_bytes, messages_per_conn
+    )
     connect_phase = n_conns * CONNECT_SPACING + 0.005
     plan = _SendPlan(
         connect_phase, n_conns, send_spacing, messages_per_conn, message_bytes

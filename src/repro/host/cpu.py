@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..obs import runtime as obs_runtime
-from ..sim import Event, Simulator
+from ..sim import Event, Simulator, Timeout
 
 __all__ = ["Core", "CpuSet"]
 
@@ -38,13 +38,8 @@ class Core:
         self._tracer = obs_runtime.get_tracer()
         self._traced = self._tracer.enabled
 
-    def execute(self, cost_seconds: float) -> Event:
-        """Enqueue ``cost_seconds`` of work; event fires at completion.
-
-        The returned event comes from the simulator's timeout free list:
-        yield it or attach callbacks immediately, but do not store it past
-        its firing (no datapath code does).
-        """
+    def _reserve(self, cost_seconds: float) -> float:
+        """Queue ``cost_seconds`` of work; return the delay until it is done."""
         if cost_seconds < 0:
             raise ValueError("negative CPU cost")
         if self._traced:
@@ -57,19 +52,23 @@ class Core:
         self._busy_until = finish
         self.busy_seconds += cost_seconds
         self.ops += 1
-        return self.sim._pooled_timeout(finish - now)
+        # The delay, not ``finish``: the queue entry's time is then
+        # ``now + (finish - now)``, whose rounding every golden pins.
+        return finish - now
 
-    def execute_call(self, cost_seconds: float, func, *args) -> Event:
-        """``execute(cost)`` then ``func(*args)``, without closure allocation.
+    def execute(self, cost_seconds: float) -> Event:
+        """Enqueue ``cost_seconds`` of work; the event fires at completion."""
+        return Timeout(self.sim, self._reserve(cost_seconds))
 
-        Equivalent to ``execute(cost).add_callback(lambda _ev: func(*args))``
-        but the call rides the timeout's direct-call slot — the common shape
-        for charging an op cost and then pushing an nqe or a packet.
+    def execute_call(self, cost_seconds: float, func, *args) -> None:
+        """Enqueue ``cost_seconds`` of work, then call ``func(*args)``.
+
+        Same charge and completion time as ``execute(cost)``, but the
+        continuation is a direct-call queue entry: no event, no closure.
+        This is the common shape for charging an op cost and then pushing
+        an nqe or a packet.
         """
-        timeout = self.execute(cost_seconds)
-        timeout._call = func
-        timeout._call_args = args
-        return timeout
+        self.sim._call_after(self._reserve(cost_seconds), func, args)
 
     def execute_cycles(self, cycles: float) -> Event:
         """Enqueue work expressed in CPU cycles at this core's clock."""

@@ -498,7 +498,7 @@ class GuestLib(SocketApi):
         """Polling-mode receive consumer as an event-driven pump.
 
         Handling is synchronous (:meth:`_handle_receive_fast`); reader
-        copies chain through the core's direct-call slot, which preserves
+        copies chain through ``Core.execute_call`` entries, which preserve
         the generator loop's ``busy_until`` accounting exactly.
         """
         if self.batch.enabled:

@@ -146,14 +146,14 @@ class HugePageRegion:
         """
         return core.execute(self._copy_cost(nbytes, chunk_size))
 
-    def copy_call(self, core: Core, nbytes: int, func, *args) -> Event:
-        """:meth:`copy`, then ``func(*args)`` — no closure, no process.
+    def copy_call(self, core: Core, nbytes: int, func, *args) -> None:
+        """:meth:`copy`, then ``func(*args)`` — no event, no closure.
 
-        The continuation rides the timeout's direct-call slot (the same
-        fast path as ``Core.execute_call``); use it when the caller has
-        nothing else to do while the memcpy completes.
+        The continuation is a direct-call queue entry (through
+        ``Core.execute_call``); use it when the caller has nothing else to
+        do while the memcpy completes.
         """
-        return core.execute_call(self._copy_cost(nbytes, CHUNK_SIZE), func, *args)
+        core.execute_call(self._copy_cost(nbytes, CHUNK_SIZE), func, *args)
 
     def _copy_cost(self, nbytes: int, chunk_size: int) -> float:
         if nbytes < 0:

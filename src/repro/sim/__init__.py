@@ -2,8 +2,7 @@
 
 Public surface:
 
-* :class:`Simulator` — clock + calendar-queue event scheduler.
-* :class:`CalendarQueue` — the timer wheel behind the simulator's queue.
+* :class:`Simulator` — clock + ``heapq`` event queue (events and direct calls).
 * :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` — waitables.
 * :class:`Process` — generator-based coroutine; also an event.
 * :class:`Store`, :class:`Resource`, :class:`Container` — shared resources.
@@ -21,11 +20,9 @@ from .partition import DEFAULT_RING_LATENCY, PartitionPlan, PlanUnit, plan_parti
 from .process import Process
 from .resources import Container, Resource, Store
 from .sharded import ShardChannel, ShardedSimulation, shard_for_host
-from .wheel import CalendarQueue
 
 __all__ = [
     "Simulator",
-    "CalendarQueue",
     "FidelityController",
     "FluidFlow",
     "FluidRoute",

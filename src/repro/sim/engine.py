@@ -1,9 +1,9 @@
 """The discrete-event simulation kernel.
 
-:class:`Simulator` owns the virtual clock and a calendar-queue event
-scheduler (:mod:`repro.sim.wheel`).  Everything else in the library
-(links, TCP stacks, NetKernel queues, CPU cores) is built on processes
-and events scheduled here.
+:class:`Simulator` owns the virtual clock and the event queue, a plain
+``heapq`` list.  Everything else in the library (links, TCP stacks,
+NetKernel queues, CPU cores) is built on the processes, events and
+deferred calls scheduled here.
 
 Time is a ``float`` in **seconds**.  Nanosecond-scale costs (memory copies,
 nqe hops) are converted with :data:`NANOS`.
@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import gc
 import threading
-from heapq import heappop
+from heapq import heappop, heappush
 from itertools import count
+from math import nextafter
 from typing import Any, Generator, Iterable, Optional
 
 from .events import AllOf, AnyOf, Event, SimulationError, Timeout
 from .process import Process
-from .wheel import GROUP_SHIFT, CalendarQueue
 
 __all__ = ["Simulator", "NANOS", "MICROS", "MILLIS"]
 
@@ -45,6 +45,8 @@ NANOS = 1e-9
 MICROS = 1e-6
 #: One millisecond in simulator time units (seconds).
 MILLIS = 1e-3
+
+_INF = float("inf")
 
 #: Cyclic-collector thresholds while an event loop runs.  A built world is
 #: hundreds of thousands of long-lived, tracked objects (connections,
@@ -83,24 +85,21 @@ def _gc_exit() -> None:
 class Simulator:
     """A discrete-event simulator with a monotonically advancing clock.
 
-    Events scheduled at equal times fire in FIFO order of scheduling, which
-    makes runs fully deterministic for a fixed seedless workload.  The
-    queue is a calendar queue (timer wheel with an overflow heap) whose
-    pop order is bit-identical to the binary heap it replaced — see
-    :mod:`repro.sim.wheel` for the ordering contract.
+    The queue is one ``heapq`` list of ``(time, seq, target, args)``
+    entries.  ``args is None`` marks an :class:`Event`, whose callbacks
+    run when the entry pops; any other entry is a direct call,
+    ``target(*args)``, with no event object behind it.  ``seq`` comes from
+    one counter and is unique, so entries order by ``(time, seq)`` alone:
+    events and calls scheduled for equal times fire in FIFO order of
+    scheduling, which makes runs fully deterministic for a fixed seedless
+    workload.
     """
-
-    #: Free-list bound: enough to cover every in-flight pooled timeout of
-    #: a busy run without letting a burst pin memory forever.
-    _POOL_MAX = 4096
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue = CalendarQueue(self._now)
+        self._queue: list = []
         self._counter = count()
         self._active_process: Optional[Process] = None
-        #: Recycled Timeout instances for the kernel-internal pooled path.
-        self._timeout_pool: list = []
         #: Events processed since construction (perf metric; see
         #: ``benchmarks/bench_datapath.py``).
         self.events_processed = 0
@@ -143,51 +142,31 @@ class Simulator:
         """Composite event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
 
-    # -- scheduling (kernel internal) ----------------------------------------
+    # -- scheduling ----------------------------------------------------------
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self._queue.push((self._now + delay, next(self._counter), event))
+        heappush(self._queue, (self._now + delay, next(self._counter), event, None))
 
-    def _pooled_timeout(self, delay: float, value: Any = None) -> Timeout:
-        """A Timeout from the free list (kernel-internal fast path).
+    def _call_after(self, delay: float, func, args: tuple) -> None:
+        """Push a call entry: ``func(*args)`` after ``delay`` seconds.
 
-        Contract: the caller must not retain the returned event past its
-        firing — after its callbacks run, the run loop resets it and hands
-        it to the next ``_pooled_timeout`` call.  Code that needs to hold
-        one longer (composite conditions, ``run_until_event``) clears
-        ``_reusable`` instead.
+        Kernel-internal twin of :meth:`schedule_call` for callers that
+        have already validated ``delay``
+        (:meth:`repro.host.cpu.Core.execute_call`).  Keeping CPU charges
+        off the public method means instrumentation that wraps
+        ``schedule_call`` counts them as charges, not as schedules.
         """
-        pool = self._timeout_pool
-        if not pool:
-            timeout = Timeout(self, delay, value)
-            timeout._reusable = True
-            return timeout
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        timeout = pool.pop()
-        timeout.delay = delay
-        if timeout.callbacks is None:
-            timeout.callbacks = []
-        timeout._value = value
-        timeout._ok = True
-        timeout._triggered = True
-        timeout._processed = False
-        self._queue.push((self._now + delay, next(self._counter), timeout))
-        return timeout
+        heappush(self._queue, (self._now + delay, next(self._counter), func, args))
 
-    def schedule_call(self, delay: float, func, *args) -> Event:
+    def schedule_call(self, delay: float, func, *args) -> None:
         """Schedule ``func(*args)`` to run after ``delay`` seconds.
 
-        Returns the underlying timeout event.  Convenient for fire-and-forget
-        callbacks without spinning up a full process.  The call is stored on
-        the timeout itself (no closure, no callbacks-list append), and the
-        timeout comes from the kernel free list — callers must not hold the
-        returned event past its firing (none do; it exists so tests can
-        observe scheduling).
+        The call is a queue entry of its own: no event, no closure, no
+        callbacks list.  Use :meth:`timeout` when something must wait on
+        the firing.
         """
-        timeout = self._pooled_timeout(delay)
-        timeout._call = func
-        timeout._call_args = args
-        return timeout
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay!r}")
+        heappush(self._queue, (self._now + delay, next(self._counter), func, args))
 
     def schedule_call_at(self, when: float, func, *args) -> None:
         """Schedule ``func(*args)`` at the *absolute* time ``when``.
@@ -203,163 +182,44 @@ class Simulator:
             raise SimulationError(
                 f"schedule_call_at({when}) is in the past (now={self._now})"
             )
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            timeout.delay = 0.0
-            if timeout.callbacks is None:
-                timeout.callbacks = []
-            timeout._value = None
-            timeout._ok = True
-            timeout._triggered = True
-            timeout._processed = False
-        else:
-            timeout = Timeout.__new__(Timeout)
-            Event.__init__(timeout, self)
-            timeout.delay = 0.0
-            timeout._reusable = True
-            timeout._triggered = True
-        timeout._call = func
-        timeout._call_args = args
-        self._queue.push((when, next(self._counter), timeout))
+        heappush(self._queue, (when, next(self._counter), func, args))
 
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
-        """Process the single next event in the queue."""
-        item = self._queue.pop()
-        if item is None:
+        """Process the single next entry in the queue."""
+        if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _seq, event = item
+        when, _seq, target, args = heappop(self._queue)
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
         self.events_processed += 1
-        event._run_callbacks()
-        if (
-            event.__class__ is Timeout
-            and event._reusable
-            and len(self._timeout_pool) < self._POOL_MAX
-        ):
-            self._timeout_pool.append(event)
+        if args is None:
+            target._run_callbacks()
+        else:
+            target(*args)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
-        return self._queue.peek()
+        queue = self._queue
+        return queue[0][0] if queue else _INF
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier, so measurements spanning
-        ``[0, until]`` are well defined.
-
-        The loop body is :meth:`step` inlined (minus the stale-event guard,
-        which the queue invariant makes unreachable from here): resolve the
-        head bucket (fast path: the bucket the last pop settled on is still
-        the earliest), one heappop over it, the event's callbacks, and
-        free-list recycling for pooled timeouts.  Event semantics are
-        identical to repeated ``step()`` calls.  The collector runs at
+        ``[0, until]`` are well defined.  Event semantics are identical
+        to repeated :meth:`step` calls.  The collector runs at
         :data:`GC_THRESHOLDS` until the call returns or raises.
         """
-        q = self._queue
-        buckets = q.buckets
-        groups = q.groups
-        pool = self._timeout_pool
-        pool_max = self._POOL_MAX
-        heappop_ = heappop
-        timeout_cls = Timeout
-        processed = 0
-        _gc_enter()
-        try:
-            if until is None:
-                while True:
-                    if q.bucket_count:
-                        i = q.first
-                        b = buckets[i]
-                        if not b or i != q.active:
-                            b = q._head_bucket()
-                            i = q.first
-                    elif q.overflow:
-                        b = q._head_bucket()
-                        i = q.first
-                    else:
-                        return
-                    when, _seq, event = heappop_(b)
-                    if not b:
-                        groups[i >> GROUP_SHIFT] -= 1
-                    q.bucket_count -= 1
-                    self._now = when
-                    processed += 1
-                    if event.__class__ is timeout_cls:
-                        call = event._call
-                        if call is not None and not event.callbacks:
-                            # Direct-call, no waiters: run it here and keep
-                            # the (still empty) callbacks list attached so
-                            # the next pool reuse skips the allocation.
-                            event._call = None
-                            event._processed = True
-                            call(*event._call_args)
-                            event._call_args = ()
-                            if event._reusable and len(pool) < pool_max:
-                                pool.append(event)
-                            continue
-                        event._run_callbacks()
-                        if event._reusable and len(pool) < pool_max:
-                            pool.append(event)
-                    else:
-                        callbacks, event.callbacks = event.callbacks, None
-                        event._processed = True
-                        if callbacks:
-                            for callback in callbacks:
-                                callback(event)
-            if until < self._now:
-                raise ValueError(
-                    f"run(until={until}) is in the past (now={self._now})"
-                )
-            while True:
-                if q.bucket_count:
-                    i = q.first
-                    b = buckets[i]
-                    if not b or i != q.active:
-                        b = q._head_bucket()
-                        i = q.first
-                elif q.overflow:
-                    b = q._head_bucket()
-                    i = q.first
-                else:
-                    break
-                when = b[0][0]
-                if when > until:
-                    break
-                _when, _seq, event = heappop_(b)
-                if not b:
-                    groups[i >> GROUP_SHIFT] -= 1
-                q.bucket_count -= 1
-                self._now = when
-                processed += 1
-                if event.__class__ is timeout_cls:
-                    call = event._call
-                    if call is not None and not event.callbacks:
-                        event._call = None
-                        event._processed = True
-                        call(*event._call_args)
-                        event._call_args = ()
-                        if event._reusable and len(pool) < pool_max:
-                            pool.append(event)
-                        continue
-                    event._run_callbacks()
-                    if event._reusable and len(pool) < pool_max:
-                        pool.append(event)
-                else:
-                    callbacks, event.callbacks = event.callbacks, None
-                    event._processed = True
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-            self._now = until
-        finally:
-            self.events_processed += processed
-            _gc_exit()
+        if until is None:
+            self._run_through(_INF)
+            return
+        if until < self._now:
+            raise ValueError(f"run(until={until}) is in the past (now={self._now})")
+        self._run_through(until)
+        self._now = until
 
     def run_window(self, horizon: float, limit: Optional[float] = None) -> int:
         """Process every event with ``time < horizon`` (and ``<= limit``).
@@ -371,63 +231,36 @@ class Simulator:
         injected ahead of them.  Unlike :meth:`run`, the clock is left at
         the last processed event — the shard coordinator owns end-of-run
         clock advancement.  Returns the number of events processed.
-
-        The loop body is the same inlined :meth:`step` as :meth:`run`;
-        event semantics are identical to repeated ``step()`` calls, and
-        the collector policy is the same.
+        Event semantics and the collector policy are those of :meth:`run`.
         """
-        q = self._queue
-        buckets = q.buckets
-        groups = q.groups
-        pool = self._timeout_pool
-        pool_max = self._POOL_MAX
+        if limit is not None and limit < horizon:
+            return self._run_through(limit)
+        # ``time < horizon`` is ``time <= `` the float just below it.
+        return self._run_through(nextafter(horizon, -_INF))
+
+    def _run_through(self, bound: float) -> int:
+        """Process every entry with ``time <= bound``; return the count.
+
+        The run loop: :meth:`step` inlined, minus the stale-entry guard
+        that the heap invariant makes unreachable from here.
+        """
+        queue = self._queue
         heappop_ = heappop
-        timeout_cls = Timeout
-        bound = horizon if limit is None else min(horizon, limit)
-        strict = limit is None or horizon <= limit
         processed = 0
         _gc_enter()
         try:
-            while True:
-                if q.bucket_count:
-                    i = q.first
-                    b = buckets[i]
-                    if not b or i != q.active:
-                        b = q._head_bucket()
-                        i = q.first
-                elif q.overflow:
-                    b = q._head_bucket()
-                    i = q.first
-                else:
-                    break
-                when = b[0][0]
-                if when >= bound if strict else when > bound:
-                    break
-                _when, _seq, event = heappop_(b)
-                if not b:
-                    groups[i >> GROUP_SHIFT] -= 1
-                q.bucket_count -= 1
+            while queue and queue[0][0] <= bound:
+                when, _seq, target, args = heappop_(queue)
                 self._now = when
                 processed += 1
-                if event.__class__ is timeout_cls:
-                    call = event._call
-                    if call is not None and not event.callbacks:
-                        event._call = None
-                        event._processed = True
-                        call(*event._call_args)
-                        event._call_args = ()
-                        if event._reusable and len(pool) < pool_max:
-                            pool.append(event)
-                        continue
-                    event._run_callbacks()
-                    if event._reusable and len(pool) < pool_max:
-                        pool.append(event)
-                else:
-                    callbacks, event.callbacks = event.callbacks, None
-                    event._processed = True
+                if args is None:
+                    callbacks, target.callbacks = target.callbacks, None
+                    target._processed = True
                     if callbacks:
                         for callback in callbacks:
-                            callback(event)
+                            callback(target)
+                else:
+                    target(*args)
         finally:
             self.events_processed += processed
             _gc_exit()
@@ -440,10 +273,6 @@ class Simulator:
         :class:`SimulationError` if the queue drains or ``limit`` is reached
         first.
         """
-        if isinstance(event, Timeout):
-            # We read ``processed``/``value`` after the event fires; keep it
-            # out of the free list.
-            event._reusable = False
         while not event.processed:
             if not self._queue:
                 raise SimulationError("queue drained before event fired")

@@ -177,3 +177,22 @@ def test_epoll_multi_port_sink_delivers_everything():
         reset_run_ids()
         row = bench_scale.measure_epoll_point(250)
     assert len(row) and row["messages_delivered"] == row["messages_expected"] == 500
+
+
+def test_epoll_bulk_twins_count_whole_messages():
+    """64 KiB messages arrive over many ``recv()`` returns in packet mode
+    and as coalesced byte credits under fluid fidelity; both twins must
+    report whole messages per connection, not reads."""
+    import repro.experiments.bench_scale as bench_scale
+    from repro.runstate import reset_run_ids
+
+    rows = {}
+    for fidelity in ("packet", "auto"):
+        reset_run_ids()
+        rows[fidelity] = bench_scale.measure_epoll_point(
+            20, fidelity=fidelity, **bench_scale._BULK
+        )
+    for row in rows.values():
+        assert row["messages_delivered"] == row["messages_expected"] == 40
+        assert row["bytes_delivered"] == 40 * bench_scale.BULK_MESSAGE_BYTES
+    assert rows["auto"]["fluid"]["promotions"] > 0
